@@ -1,7 +1,9 @@
 // Acceptance test for the cluster scale-out experiment: the 8x4 fleet
 // serves the six-app mix through the 25%->150% ramp with a host killed
 // mid-ramp, and the autoscaler must hold every served app's p99 inside
-// the SLA with under 1% client-visible errors — deterministically.
+// the SLA with under 1% client-visible errors — deterministically. The
+// rendered report is pinned in testdata/golden/cluster_campaign.txt;
+// regenerate it with: go test ./internal/experiments -run TestClusterAcceptance -update
 package experiments
 
 import (
@@ -61,9 +63,11 @@ func TestClusterAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if RenderCluster(r) != RenderCluster(r2) {
+	render := RenderCluster(r)
+	if render != RenderCluster(r2) {
 		t.Error("same-seed cluster runs rendered different reports")
 	}
+	checkSaturationGolden(t, "cluster_campaign.txt", render)
 }
 
 // TestClusterRouterVariants: the experiment completes under every routing
