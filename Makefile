@@ -119,17 +119,26 @@ cluster-chaos-smoke:
 # Saturation-report smoke: build the CLI, run the seeded acceptance-default
 # cluster ramp, and diff the saturation report against the pinned golden —
 # end-to-end proof that the binary, the experiment wiring and the analyzer
-# produce the exact bytes the test suite pins. Also pins the telemetry
-# overhead contracts: the telemetry-off hooks stay zero-alloc and the
-# cluster-span disabled-path / determinism tests hold.
+# produce the exact bytes the test suite pins. The stdout of the cluster,
+# cluster-chaos and rollout modes is diffed against their pinned campaign
+# reports the same way. Also pins the telemetry overhead contracts: the
+# telemetry-off hooks stay zero-alloc and the cluster-span disabled-path /
+# determinism tests hold.
 report-smoke:
 	$(GO) test -count=1 ./internal/cluster -run 'TestTelemetryDisabledAllocs|TestTelemetryPassive|TestSaturationDeterminism'
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/tpuserve ./cmd/tpuserve; \
-	$$tmp/tpuserve -mode cluster -report $$tmp/saturation.txt > /dev/null; \
+	$$tmp/tpuserve -mode cluster -report $$tmp/saturation.txt > $$tmp/cluster_campaign.txt; \
 	diff -u internal/experiments/testdata/golden/cluster_saturation.txt $$tmp/saturation.txt \
 		&& echo "report-smoke: saturation report matches golden" \
-		|| { echo "report-smoke: saturation report drifted from golden"; exit 1; }
+		|| { echo "report-smoke: saturation report drifted from golden"; exit 1; }; \
+	$$tmp/tpuserve -mode cluster-chaos > $$tmp/cluster_chaos_campaign.txt; \
+	$$tmp/tpuserve -mode rollout > $$tmp/rollout_campaign.txt; \
+	for f in cluster_campaign cluster_chaos_campaign rollout_campaign; do \
+		diff -u internal/experiments/testdata/golden/$$f.txt $$tmp/$$f.txt \
+			&& echo "report-smoke: $$f report matches golden" \
+			|| { echo "report-smoke: $$f report drifted from golden"; exit 1; }; \
+	done
 
 # Safe-change-management smoke, race-enabled: the rollout plan parser,
 # cordoned-host placement, graceful drain and drain-deadline failover, the

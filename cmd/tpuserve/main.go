@@ -69,7 +69,8 @@
 // a NoBudget control that demonstrates the retry storm — and the report
 // compares them and checks the acceptance criteria (exit 1 on violation).
 // -chaos-plan layers extra scripted failures (partitions, flapping hosts,
-// degraded-slow hosts) onto the campaign:
+// degraded-slow hosts) onto the campaign, and -report writes the defended
+// run's saturation report:
 //
 //	tpuserve -mode cluster-chaos -zones 4
 //	tpuserve -mode cluster-chaos -chaos-plan 'part=4@0.55-0.7,flap=5@0.9x2/0.1'
@@ -82,7 +83,8 @@
 // back, and a good v2 that must reach 100% of the fleet with zero SLO
 // error-budget burn — and the report compares them and checks the acceptance
 // criteria (exit 1 on violation). -rollout-plan overrides the bad run's plan
-// (the good run reuses it with factor=1):
+// (the good run reuses it with factor=1), and -report writes the good run's
+// saturation report:
 //
 //	tpuserve -mode rollout -zones 4 -bad-factor 4
 //	tpuserve -mode rollout -rollout-plan 'start=0.2,factor=4,canary=0.1,windows=2,window=0.05,wave=2,drain=0.05'
@@ -100,6 +102,7 @@ import (
 	"sync"
 	"time"
 
+	"tpusim/internal/cluster"
 	"tpusim/internal/experiments"
 	"tpusim/internal/fault"
 	"tpusim/internal/latency"
@@ -112,7 +115,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tpuserve: ")
-	mode := flag.String("mode", "sweep", "sweep (virtual-time knee curves) or live (wall-clock server demo)")
+	mode := flag.String("mode", "sweep", "sweep (virtual-time knee curves), live (wall-clock server demo), chaos, sdc, cluster, cluster-chaos or rollout")
 	duration := flag.Duration("duration", 2*time.Second, "live mode: how long to offer load")
 	timescale := flag.Float64("timescale", 500, "live mode: slow modeled service times by this factor")
 	loadFrac := flag.Float64("load", 0.8, "live mode: offered load as a fraction of deadline-safe capacity")
@@ -128,14 +131,14 @@ func main() {
 	faultAt := flag.Float64("fault-at", 0.3, "chaos mode: fraction of the stream at which -kill/-slow strike")
 	sdcSeed := flag.Int64("seed", 11, "sdc mode: campaign seed (flip addresses, bits, weight init)")
 	sdcFlips := flag.Int("flips", 16, "sdc mode: injected flips per app")
-	hosts := flag.Int("hosts", 8, "cluster mode: fleet hosts")
-	devsPerHost := flag.Int("devices-per-host", 4, "cluster mode: devices per host")
-	router := flag.String("router", "bounded-hash", "cluster mode: routing policy (wrr, least-loaded, bounded-hash)")
+	hosts := flag.Int("hosts", 8, "cluster, cluster-chaos and rollout modes: fleet hosts")
+	devsPerHost := flag.Int("devices-per-host", 4, "cluster, cluster-chaos and rollout modes: devices per host")
+	router := flag.String("router", "bounded-hash", "cluster, cluster-chaos and rollout modes: routing policy (wrr, least-loaded, bounded-hash)")
 	noKill := flag.Bool("no-kill", false, "cluster mode: skip the mid-ramp host kill")
-	report := flag.String("report", "", "cluster mode: write the saturation report (text) to this file, or - for stdout")
+	report := flag.String("report", "", "cluster, cluster-chaos and rollout modes: write the saturation report (text) to this file, or - for stdout")
 	reportJSON := flag.String("report-json", "", "cluster mode: write the saturation report as JSON to this file, or - for stdout")
 	traceJSON := flag.String("trace-json", "", "cluster mode: export the ramp's virtual-time spans as Chrome trace-event JSON (Perfetto-loadable) to this file")
-	zones := flag.Int("zones", 4, "cluster-chaos mode: failure-domain count (a zone fails and recovers as one unit)")
+	zones := flag.Int("zones", 4, "cluster-chaos and rollout modes: failure-domain count (a zone fails and recovers as one unit)")
 	chaosPlan := flag.String("chaos-plan", "", "cluster-chaos mode: extra chaos actions layered on the zone kill (e.g. 'part=4@0.55-0.7,flap=5@0.9x2/0.1,slow=6x2.5@0.3')")
 	rolloutPlan := flag.String("rollout-plan", "", "rollout mode: override the bad run's plan (e.g. 'start=0.2,factor=4,canary=0.1,windows=2,window=0.05,wave=2,drain=0.05')")
 	badFactor := flag.Float64("bad-factor", 4, "rollout mode: the bad v2's service-time inflation")
@@ -173,8 +176,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(experiments.RenderCluster(r))
-		if err := clusterArtifacts(r, *report, *reportJSON, *traceJSON); err != nil {
+		finishCampaign(experiments.RenderCluster(r), r.Report, *report, nil)
+		if err := clusterArtifacts(r, *reportJSON, *traceJSON); err != nil {
 			log.Fatal(err)
 		}
 	case "cluster-chaos":
@@ -185,18 +188,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(experiments.RenderClusterChaos(r))
-		if *report != "" {
-			emit := []byte(r.Report.Render())
-			if *report == "-" {
-				os.Stdout.Write(emit)
-			} else if err := os.WriteFile(*report, emit, 0o644); err != nil {
-				log.Fatalf("write -report: %v", err)
-			}
-		}
-		if len(r.Acceptance()) > 0 {
-			os.Exit(1) // the campaign report already printed the violations
-		}
+		finishCampaign(experiments.RenderClusterChaos(r), r.Report, *report, r.Acceptance())
 	case "rollout":
 		r, err := experiments.RunRollout(experiments.RolloutConfig{
 			Hosts: *hosts, DevicesPerHost: *devsPerHost, Zones: *zones,
@@ -205,39 +197,40 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(experiments.RenderRollout(r))
-		if *report != "" {
-			emit := []byte(r.GoodReport.Render())
-			if *report == "-" {
-				os.Stdout.Write(emit)
-			} else if err := os.WriteFile(*report, emit, 0o644); err != nil {
-				log.Fatalf("write -report: %v", err)
-			}
-		}
-		if len(r.Acceptance()) > 0 {
-			os.Exit(1) // the campaign report already printed the violations
-		}
+		finishCampaign(experiments.RenderRollout(r), r.GoodReport, *report, r.Acceptance())
 	default:
 		log.Fatalf("unknown -mode %q (want sweep, live, chaos, sdc, cluster, cluster-chaos or rollout)", *mode)
 	}
 }
 
-// clusterArtifacts writes the cluster mode's optional outputs: the
-// saturation report as text and/or JSON ("-" means stdout), and the
-// recorded virtual-time trace as Chrome trace-event JSON.
-func clusterArtifacts(r *experiments.ClusterResult, report, reportJSON, traceJSON string) error {
-	emit := func(path string, data []byte) error {
-		if path == "-" {
-			_, err := os.Stdout.Write(data)
-			return err
-		}
-		return os.WriteFile(path, data, 0o644)
+// emit writes data to the file at path, or to stdout when path is "-".
+func emit(path string, data []byte) error {
+	if path == "-" {
+		_, err := os.Stdout.Write(data)
+		return err
 	}
-	if report != "" {
-		if err := emit(report, []byte(r.Report.Render())); err != nil {
-			return fmt.Errorf("write -report: %w", err)
+	return os.WriteFile(path, data, 0o644)
+}
+
+// finishCampaign prints a fleet campaign's report, writes its saturation
+// report as text to reportPath if one was given, and exits 1 when an
+// acceptance criterion failed (the campaign report lists the violations).
+func finishCampaign(render string, r *cluster.SaturationReport, reportPath string, violations []string) {
+	fmt.Print(render)
+	if reportPath != "" {
+		if err := emit(reportPath, []byte(r.Render())); err != nil {
+			log.Fatalf("write -report: %v", err)
 		}
 	}
+	if len(violations) > 0 {
+		os.Exit(1)
+	}
+}
+
+// clusterArtifacts writes the cluster mode's other optional outputs: the
+// saturation report as JSON ("-" means stdout), and the recorded
+// virtual-time trace as Chrome trace-event JSON.
+func clusterArtifacts(r *experiments.ClusterResult, reportJSON, traceJSON string) error {
 	if reportJSON != "" {
 		data, err := r.Report.JSON()
 		if err != nil {

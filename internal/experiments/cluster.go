@@ -11,16 +11,10 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tpusim/internal/cluster"
-	"tpusim/internal/compiler"
-	"tpusim/internal/latency"
-	"tpusim/internal/models"
 	"tpusim/internal/obs"
-	"tpusim/internal/serve"
-	"tpusim/internal/workload"
 )
 
 // ClusterConfig parameterizes the fleet experiment. Zero values mean the
@@ -53,15 +47,7 @@ type ClusterConfig struct {
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
-	if c.Hosts == 0 {
-		c.Hosts = 8
-	}
-	if c.DevicesPerHost == 0 {
-		c.DevicesPerHost = 4
-	}
-	if c.Router == "" {
-		c.Router = "bounded-hash"
-	}
+	defaultFleet(&c.Hosts, &c.DevicesPerHost, &c.Router, &c.SLASeconds, &c.Seed)
 	if c.RampSeconds == 0 {
 		c.RampSeconds = 0.4
 	}
@@ -70,12 +56,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if c.PeakFrac == 0 {
 		c.PeakFrac = 1.5
-	}
-	if c.SLASeconds == 0 {
-		c.SLASeconds = 7e-3
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
 	}
 	return c
 }
@@ -123,98 +103,33 @@ type ClusterResult struct {
 // Each app's load curve ramps from StartFrac to PeakFrac of its own
 // initial rated capacity, so every app — not just the big MLPs — crosses
 // its scale-up threshold and the autoscaler must act while a host dies.
+// Fleet observability rides along, so the result carries the saturation
+// report and its registry; the trace is opt-in because it holds every
+// sampled batch span in memory.
 func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	cfg = cfg.withDefaults()
-	policy, err := cluster.ParsePolicy(cfg.Router)
-	if err != nil {
-		return nil, err
-	}
 	res := &ClusterResult{Cfg: cfg}
-	var apps []cluster.AppConfig
-	for _, b := range models.All() {
-		name := b.Model.Name
-		svc := latency.ServiceFunc(func(n int) (float64, error) { return TPUBatchSeconds(name, n) })
-		pol := serve.Policy{MaxBatch: b.Model.Batch, SLASeconds: cfg.SLASeconds}
-		plan, err := pol.Resolve(svc)
-		if err != nil {
-			// No deadline-safe operating point at this SLA (CNN1 under
-			// tight deadlines): the fleet serves the apps that have one.
-			res.Skipped = append(res.Skipped, name)
-			continue
-		}
-		one := float64(plan.SafeBatch) / plan.SafeServiceSeconds
-		ramp, err := workload.NewPiecewiseLinear(
-			workload.Point{T: 0, Rate: cfg.StartFrac * one},
-			workload.Point{T: cfg.RampSeconds, Rate: cfg.PeakFrac * one},
-		)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s ramp: %w", name, err)
-		}
-		res.Apps = append(res.Apps, ClusterAppInfo{
-			Name:        name,
-			DeployShare: b.DeployShare,
-			WeightBytes: compiler.WeightFootprint(b.Model, false),
-			SafeBatch:   plan.SafeBatch,
-			ReplicaRate: one,
-			PeakRate:    cfg.PeakFrac * one,
-		})
-		apps = append(apps, cluster.AppConfig{
-			Name:            name,
-			Service:         svc,
-			Policy:          pol,
-			WeightBytes:     compiler.WeightFootprint(b.Model, false),
-			Curve:           ramp,
-			InitialReplicas: 1,
-			MinReplicas:     1,
-		})
-	}
-	if len(apps) == 0 {
-		return nil, fmt.Errorf("experiments: no app has an operating point at SLA %.1f ms", cfg.SLASeconds*1e3)
-	}
-	// Fleet observability rides along on every run: the registry's sampler
-	// tick only reads simulator state, so the snapshot and event log are
-	// byte-identical to an uninstrumented run. 20 windows across the ramp
-	// give the knee detector resolution without starving each window of
-	// arrivals; the trace (opt-in — it holds every batch span in memory)
-	// records the ramp unsampled so Perfetto shows the full storyline.
-	tel := &cluster.Telemetry{Metrics: cluster.NewFleetMetrics(cfg.RampSeconds / 20)}
-	if cfg.Trace {
-		// Every 4th batch (with its member requests) keeps the span volume
-		// inside the ring so nothing from the ramp is evicted; host kills,
-		// quarantines and autoscaler decisions are always recorded.
-		tel.Tracer = obs.NewTracer(1 << 18)
-		tel.SampleEvery = 4
-	}
-	res.Fleet = tel.Metrics
-	c, err := cluster.New(cluster.Config{
-		Hosts:          cfg.Hosts,
-		DevicesPerHost: cfg.DevicesPerHost,
-		Router:         policy,
-		Apps:           apps,
-		// The short virtual horizon needs a snappy decision window: ~10
-		// batch epochs per tick at the apps' millisecond service times.
-		Autoscale: cluster.AutoscaleConfig{Interval: cfg.RampSeconds / 8},
-		Seed:      cfg.Seed,
-		Telemetry: tel,
-	})
-	if err != nil {
-		return nil, err
-	}
+	var kill func(*cluster.Cluster) error
 	if !cfg.NoKill {
 		res.KilledAt = cfg.RampSeconds / 2
-		if err := c.KillHostAt(res.KilledAt, cfg.KillHost); err != nil {
-			return nil, err
-		}
+		kill = func(c *cluster.Cluster) error { return c.KillHostAt(res.KilledAt, cfg.KillHost) }
 	}
-	c.Run(cfg.RampSeconds * 1.5) // ramp, then hold peak for half a ramp
-	res.Snap = c.Snapshot()
-	res.Events = c.Events()
-	if res.Report, err = c.SaturationReport(); err != nil {
+	run, err := scenario{
+		hosts: cfg.Hosts, devicesPerHost: cfg.DevicesPerHost, router: cfg.Router,
+		slaSeconds: cfg.SLASeconds, seed: cfg.Seed,
+		unit:     cfg.RampSeconds,
+		horizon:  cfg.RampSeconds * 1.5, // ramp, then hold peak for half a ramp
+		replicas: 1,
+		load:     ramp(cfg.StartFrac, cfg.PeakFrac, cfg.RampSeconds),
+		trace:    cfg.Trace,
+		twins:    []twin{{arm: kill}},
+	}.run()
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Trace {
-		res.Spans = tel.Tracer.Spans()
-	}
+	t := run.twins[0]
+	res.Apps, res.Skipped = run.apps, run.skipped
+	res.Snap, res.Events, res.Report, res.Fleet, res.Spans = t.final, t.events, t.report, t.fleet, t.spans
 	return res, nil
 }
 
@@ -229,36 +144,9 @@ func RenderCluster(r *ClusterResult) string {
 		fmt.Fprintf(&b, ", host%d killed at %.2fs", r.Cfg.KillHost, r.KilledAt)
 	}
 	b.WriteString("\n\n")
-	fmt.Fprintf(&b, "%-6s %7s %10s %6s %12s %12s\n",
-		"app", "share", "weights", "batch", "replica-cap", "peak-load")
-	for _, a := range r.Apps {
-		fmt.Fprintf(&b, "%-6s %6.1f%% %8.1fMiB %6d %10.0f/s %10.0f/s\n",
-			a.Name, a.DeployShare, float64(a.WeightBytes)/(1<<20), a.SafeBatch, a.ReplicaRate, a.PeakRate)
-	}
-	if len(r.Skipped) > 0 {
-		fmt.Fprintf(&b, "skipped (no operating point at %.1f ms SLA): %s\n",
-			r.Cfg.SLASeconds*1e3, strings.Join(r.Skipped, ", "))
-	}
+	renderApps(&b, r.Apps, r.Skipped, "peak-load", "no operating point", r.Cfg.SLASeconds)
 	b.WriteString("\n")
 	b.WriteString(r.Snap.Render())
-
-	// Digest the event log by kind: the log itself is pinned by tests.
-	counts := map[string]int{}
-	for _, e := range r.Events {
-		counts[e.Kind]++
-	}
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	b.WriteString("\nevent log: ")
-	for i, k := range kinds {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d %s", counts[k], k)
-	}
-	fmt.Fprintf(&b, " (%d total)\n", len(r.Events))
+	fmt.Fprintf(&b, "\nevent log: %s\n", eventDigest(r.Events))
 	return b.String()
 }

@@ -12,15 +12,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tpusim/internal/cluster"
-	"tpusim/internal/compiler"
-	"tpusim/internal/latency"
-	"tpusim/internal/models"
-	"tpusim/internal/serve"
-	"tpusim/internal/workload"
 )
 
 // ClusterChaosConfig parameterizes the campaign. Zero values mean the
@@ -55,17 +49,9 @@ type ClusterChaosConfig struct {
 }
 
 func (c ClusterChaosConfig) withDefaults() ClusterChaosConfig {
-	if c.Hosts == 0 {
-		c.Hosts = 8
-	}
-	if c.DevicesPerHost == 0 {
-		c.DevicesPerHost = 4
-	}
+	defaultFleet(&c.Hosts, &c.DevicesPerHost, &c.Router, &c.SLASeconds, &c.Seed)
 	if c.Zones == 0 {
 		c.Zones = 4
-	}
-	if c.Router == "" {
-		c.Router = "bounded-hash"
 	}
 	if c.RampSeconds == 0 {
 		c.RampSeconds = 0.4
@@ -75,12 +61,6 @@ func (c ClusterChaosConfig) withDefaults() ClusterChaosConfig {
 	}
 	if c.PeakFrac == 0 {
 		c.PeakFrac = 0.75
-	}
-	if c.SLASeconds == 0 {
-		c.SLASeconds = 7e-3
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
 	}
 	return c
 }
@@ -129,10 +109,6 @@ type ClusterChaosResult struct {
 // RunClusterChaos runs the three-way campaign.
 func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResult, error) {
 	cfg = cfg.withDefaults()
-	policy, err := cluster.ParsePolicy(cfg.Router)
-	if err != nil {
-		return nil, err
-	}
 	extra, err := cluster.ParseChaosPlan(cfg.ExtraChaos)
 	if err != nil {
 		return nil, err
@@ -143,112 +119,44 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResult, error) {
 			res.ZoneHosts = append(res.ZoneHosts, h)
 		}
 	}
-
-	// Two replicas per app: zone anti-affinity places them in distinct
-	// failure domains, so one dark zone leaves every app with quorum.
-	const initialReplicas = 2
-	var apps []cluster.AppConfig
-	for _, b := range models.All() {
-		name := b.Model.Name
-		svc := latency.ServiceFunc(func(n int) (float64, error) { return TPUBatchSeconds(name, n) })
-		pol := serve.Policy{MaxBatch: b.Model.Batch, SLASeconds: cfg.SLASeconds}
-		plan, err := pol.Resolve(svc)
-		if err != nil {
-			res.Skipped = append(res.Skipped, name)
-			continue
+	chaos := func(c *cluster.Cluster) error {
+		if err := c.KillZoneAt(cfg.ZoneDownAt(), cfg.Zone); err != nil {
+			return err
 		}
-		one := float64(plan.SafeBatch) / plan.SafeServiceSeconds
-		rated := float64(initialReplicas) * one
-		ramp, err := workload.NewPiecewiseLinear(
-			workload.Point{T: 0, Rate: cfg.StartFrac * rated},
-			workload.Point{T: cfg.RampSeconds, Rate: cfg.PeakFrac * rated},
-		)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s ramp: %w", name, err)
+		if err := c.ReviveZoneAt(cfg.ZoneUpAt(), cfg.Zone); err != nil {
+			return err
 		}
-		res.Apps = append(res.Apps, ClusterAppInfo{
-			Name:        name,
-			DeployShare: b.DeployShare,
-			WeightBytes: compiler.WeightFootprint(b.Model, false),
-			SafeBatch:   plan.SafeBatch,
-			ReplicaRate: one,
-			PeakRate:    cfg.PeakFrac * rated,
-		})
-		apps = append(apps, cluster.AppConfig{
-			Name:            name,
-			Service:         svc,
-			Policy:          pol,
-			WeightBytes:     compiler.WeightFootprint(b.Model, false),
-			Curve:           ramp,
-			InitialReplicas: initialReplicas,
-			MinReplicas:     initialReplicas,
-		})
+		return c.ApplyChaos(extra)
 	}
-	if len(apps) == 0 {
-		return nil, fmt.Errorf("experiments: no app has an operating point at SLA %.1f ms", cfg.SLASeconds*1e3)
-	}
-
-	build := func(chaotic, noBudget bool) (*cluster.Cluster, error) {
-		tel := &cluster.Telemetry{Metrics: cluster.NewFleetMetrics(cfg.RampSeconds / 20)}
-		c, err := cluster.New(cluster.Config{
-			Hosts:          cfg.Hosts,
-			DevicesPerHost: cfg.DevicesPerHost,
-			Zones:          cfg.Zones,
-			Router:         policy,
-			Apps:           apps,
-			Autoscale:      cluster.AutoscaleConfig{Interval: cfg.RampSeconds / 8},
-			Retry:          cluster.RetryConfig{Enabled: true, NoBudget: noBudget},
-			Seed:           cfg.Seed,
-			Telemetry:      tel,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if chaotic {
-			if err := c.KillZoneAt(cfg.ZoneDownAt(), cfg.Zone); err != nil {
-				return nil, err
-			}
-			if err := c.ReviveZoneAt(cfg.ZoneUpAt(), cfg.Zone); err != nil {
-				return nil, err
-			}
-			if err := c.ApplyChaos(extra); err != nil {
-				return nil, err
-			}
-		}
-		return c, nil
-	}
-
-	// Healthy baseline: same seed, same defenses, no failures.
-	healthy, err := build(false, false)
+	run, err := scenario{
+		hosts: cfg.Hosts, devicesPerHost: cfg.DevicesPerHost, zones: cfg.Zones, router: cfg.Router,
+		slaSeconds: cfg.SLASeconds, seed: cfg.Seed,
+		unit:    cfg.RampSeconds,
+		horizon: cfg.Horizon(),
+		// Two replicas per app: zone anti-affinity places them in distinct
+		// failure domains, so one dark zone leaves every app with quorum.
+		replicas: 2,
+		load:     ramp(cfg.StartFrac, cfg.PeakFrac, cfg.RampSeconds),
+		twins: []twin{
+			// Healthy baseline: same seed, same defenses, no failures.
+			{retry: cluster.RetryConfig{Enabled: true}},
+			// The defended chaos run, checkpointed at the revive for the
+			// recovery delta.
+			{retry: cluster.RetryConfig{Enabled: true}, arm: chaos, checkpoints: []float64{cfg.ZoneUpAt()}},
+			// The NoBudget control: the same failures with the storm
+			// defense off.
+			{retry: cluster.RetryConfig{Enabled: true, NoBudget: true}, arm: chaos},
+		},
+	}.run()
 	if err != nil {
 		return nil, err
 	}
-	healthy.Run(cfg.Horizon())
-	res.Healthy = healthy.Snapshot()
-
-	// The defended chaos run, segmented at the revive for the recovery delta.
-	defended, err := build(true, false)
-	if err != nil {
-		return nil, err
-	}
-	defended.Run(cfg.ZoneUpAt())
-	res.ChaosAtRevive = defended.Snapshot()
-	defended.Run(cfg.Horizon())
-	res.Chaos = defended.Snapshot()
-	res.Events = defended.Events()
-	res.Incidents = defended.Incidents()
-	if res.Report, err = defended.SaturationReport(); err != nil {
-		return nil, err
-	}
+	healthy, defended, control := run.twins[0], run.twins[1], run.twins[2]
+	res.Apps, res.Skipped = run.apps, run.skipped
+	res.Healthy, res.Control = healthy.final, control.final
+	res.Chaos, res.ChaosAtRevive = defended.final, defended.checkpoints[0]
+	res.Events, res.Incidents, res.Report = defended.events, defended.report.Incidents, defended.report
 	res.RecoveredCompletions = completedOnHosts(res.Chaos, res.ZoneHosts) - completedOnHosts(res.ChaosAtRevive, res.ZoneHosts)
-
-	// The NoBudget control: the same failures with the storm defense off.
-	control, err := build(true, true)
-	if err != nil {
-		return nil, err
-	}
-	control.Run(cfg.Horizon())
-	res.Control = control.Snapshot()
 	return res, nil
 }
 
@@ -327,16 +235,7 @@ func RenderClusterChaos(r *ClusterChaosResult) string {
 	}
 	b.WriteString("\n")
 
-	fmt.Fprintf(&b, "%-6s %7s %10s %6s %12s %12s\n",
-		"app", "share", "weights", "batch", "replica-cap", "peak-load")
-	for _, a := range r.Apps {
-		fmt.Fprintf(&b, "%-6s %6.1f%% %8.1fMiB %6d %10.0f/s %10.0f/s\n",
-			a.Name, a.DeployShare, float64(a.WeightBytes)/(1<<20), a.SafeBatch, a.ReplicaRate, a.PeakRate)
-	}
-	if len(r.Skipped) > 0 {
-		fmt.Fprintf(&b, "skipped (no operating point at %.1f ms SLA): %s\n",
-			cfg.SLASeconds*1e3, strings.Join(r.Skipped, ", "))
-	}
+	renderApps(&b, r.Apps, r.Skipped, "peak-load", "no operating point", cfg.SLASeconds)
 
 	// The three-way comparison: healthy / defended / storm control.
 	b.WriteString("\nhealthy baseline vs defended chaos vs NoBudget storm control (same seed):\n")
@@ -358,33 +257,8 @@ func RenderClusterChaos(r *ClusterChaosResult) string {
 	}
 	fmt.Fprintf(&b, "completions on the revived zone's hosts after the revive: %d\n", r.RecoveredCompletions)
 
-	// Event digest by kind, like RenderCluster.
-	counts := map[string]int{}
-	for _, e := range r.Events {
-		counts[e.Kind]++
-	}
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	b.WriteString("\nevent log (defended run): ")
-	for i, k := range kinds {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d %s", counts[k], k)
-	}
-	fmt.Fprintf(&b, " (%d total)\n", len(r.Events))
-
-	if bad := r.Acceptance(); len(bad) == 0 {
-		b.WriteString("\nacceptance: PASS (p99 <= 2x healthy, errors < 1%, retries within budget, full recovery, storm demonstrated)\n")
-	} else {
-		b.WriteString("\nacceptance: FAIL\n")
-		for _, v := range bad {
-			fmt.Fprintf(&b, "  - %s\n", v)
-		}
-	}
+	fmt.Fprintf(&b, "\nevent log (defended run): %s\n", eventDigest(r.Events))
+	renderAcceptance(&b, r.Acceptance(), "p99 <= 2x healthy, errors < 1%, retries within budget, full recovery, storm demonstrated")
 	return b.String()
 }
 

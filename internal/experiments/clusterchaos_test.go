@@ -94,13 +94,16 @@ func TestClusterChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestClusterChaosExtraPlan: a -chaos-plan spec layers onto the campaign
-// and a bad spec fails fast.
+// TestClusterChaosExtraPlan: a -chaos-plan spec layers onto the campaign,
+// and a bad spec or zone fails fast: every twin is armed before any runs.
 func TestClusterChaosExtraPlan(t *testing.T) {
 	if _, err := RunClusterChaos(ClusterChaosConfig{ExtraChaos: "bogus=1@2"}); err == nil {
 		t.Error("malformed ExtraChaos accepted")
 	}
 	if _, err := RunClusterChaos(ClusterChaosConfig{ExtraChaos: "kill=99@0.1"}); err == nil {
 		t.Error("out-of-fleet ExtraChaos target accepted")
+	}
+	if _, err := RunClusterChaos(ClusterChaosConfig{Zone: 7}); err == nil {
+		t.Error("out-of-range Zone accepted")
 	}
 }

@@ -12,13 +12,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tpusim/internal/cluster"
-	"tpusim/internal/compiler"
-	"tpusim/internal/latency"
-	"tpusim/internal/models"
 	"tpusim/internal/serve"
 	"tpusim/internal/workload"
 )
@@ -54,29 +50,15 @@ type RolloutConfig struct {
 }
 
 func (c RolloutConfig) withDefaults() RolloutConfig {
-	if c.Hosts == 0 {
-		c.Hosts = 8
-	}
-	if c.DevicesPerHost == 0 {
-		c.DevicesPerHost = 4
-	}
+	defaultFleet(&c.Hosts, &c.DevicesPerHost, &c.Router, &c.SLASeconds, &c.Seed)
 	if c.Zones == 0 {
 		c.Zones = 4
-	}
-	if c.Router == "" {
-		c.Router = "bounded-hash"
 	}
 	if c.BaseSeconds == 0 {
 		c.BaseSeconds = 0.4
 	}
 	if c.LoadFrac == 0 {
 		c.LoadFrac = 0.75
-	}
-	if c.SLASeconds == 0 {
-		c.SLASeconds = 7e-3
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
 	}
 	if c.BadFactor == 0 {
 		c.BadFactor = 4
@@ -137,10 +119,6 @@ type RolloutResult struct {
 // RunRollout runs the three-way campaign.
 func RunRollout(cfg RolloutConfig) (*RolloutResult, error) {
 	cfg = cfg.withDefaults()
-	policy, err := cluster.ParsePolicy(cfg.Router)
-	if err != nil {
-		return nil, err
-	}
 	bad, err := cfg.badPlan()
 	if err != nil {
 		return nil, err
@@ -148,105 +126,42 @@ func RunRollout(cfg RolloutConfig) (*RolloutResult, error) {
 	good := bad
 	good.Factor = 1
 	res := &RolloutResult{Cfg: cfg, BadPlan: bad, GoodPlan: good}
-
-	// Two replicas per app: the 10% canary rounds to one canary each,
-	// and zone anti-affinity keeps the pair in distinct failure domains.
-	const initialReplicas = 2
-	var apps []cluster.AppConfig
-	for _, b := range models.All() {
-		name := b.Model.Name
-		svc := latency.ServiceFunc(func(n int) (float64, error) { return TPUBatchSeconds(name, n) })
-		pol := serve.Policy{MaxBatch: b.Model.Batch, SLASeconds: cfg.SLASeconds}
-		plan, err := pol.Resolve(svc)
-		if err != nil {
-			res.Skipped = append(res.Skipped, name)
-			continue
-		}
+	rollout := func(p cluster.RolloutPlan) func(*cluster.Cluster) error {
+		return func(c *cluster.Cluster) error { return c.ApplyRollout(p) }
+	}
+	run, err := scenario{
+		hosts: cfg.Hosts, devicesPerHost: cfg.DevicesPerHost, zones: cfg.Zones, router: cfg.Router,
+		slaSeconds: cfg.SLASeconds, seed: cfg.Seed,
+		unit:    cfg.BaseSeconds,
+		horizon: cfg.Horizon(),
+		// Two replicas per app: the 10% canary rounds to one canary each,
+		// and zone anti-affinity keeps the pair in distinct failure domains.
+		replicas: 2,
 		// A rolling change cannot be SLO-neutral for an app whose safe
 		// service time consumes most of the deadline: drain-induced queue
 		// wait expires requests in both cohorts and the canary verdict
 		// drowns in shed noise (CNN1's safe batch runs at ~100% of the
 		// 7 ms SLA). Skip apps without 2x deadline headroom.
-		if plan.SafeServiceSeconds > 0.5*cfg.SLASeconds {
-			res.Skipped = append(res.Skipped, name)
-			continue
-		}
-		one := float64(plan.SafeBatch) / plan.SafeServiceSeconds
-		rated := float64(initialReplicas) * one
-		res.Apps = append(res.Apps, ClusterAppInfo{
-			Name:        name,
-			DeployShare: b.DeployShare,
-			WeightBytes: compiler.WeightFootprint(b.Model, false),
-			SafeBatch:   plan.SafeBatch,
-			ReplicaRate: one,
-			PeakRate:    cfg.LoadFrac * rated,
-		})
-		apps = append(apps, cluster.AppConfig{
-			Name:            name,
-			Service:         svc,
-			Policy:          pol,
-			WeightBytes:     compiler.WeightFootprint(b.Model, false),
-			Curve:           workload.Constant(cfg.LoadFrac * rated),
-			InitialReplicas: initialReplicas,
-			MinReplicas:     initialReplicas,
-		})
-	}
-	if len(apps) == 0 {
-		return nil, fmt.Errorf("experiments: no app has an operating point at SLA %.1f ms", cfg.SLASeconds*1e3)
-	}
-
-	build := func(plan *cluster.RolloutPlan) (*cluster.Cluster, error) {
-		tel := &cluster.Telemetry{Metrics: cluster.NewFleetMetrics(cfg.BaseSeconds / 20)}
-		c, err := cluster.New(cluster.Config{
-			Hosts:          cfg.Hosts,
-			DevicesPerHost: cfg.DevicesPerHost,
-			Zones:          cfg.Zones,
-			Router:         policy,
-			Apps:           apps,
-			Autoscale:      cluster.AutoscaleConfig{Interval: cfg.BaseSeconds / 8},
-			Retry:          cluster.RetryConfig{Enabled: true},
-			Seed:           cfg.Seed,
-			Telemetry:      tel,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if plan != nil {
-			if err := c.ApplyRollout(*plan); err != nil {
-				return nil, err
-			}
-		}
-		return c, nil
-	}
-
-	// Healthy baseline: same seed, no change in flight.
-	healthy, err := build(nil)
+		admit: func(p serve.Plan) bool { return p.SafeServiceSeconds <= 0.5*cfg.SLASeconds },
+		load: func(rated float64) (workload.Curve, float64, error) {
+			return workload.Constant(cfg.LoadFrac * rated), cfg.LoadFrac * rated, nil
+		},
+		twins: []twin{
+			// Healthy baseline: same seed, no change in flight.
+			{retry: cluster.RetryConfig{Enabled: true}},
+			// The bad v2: caught at the canary stage, auto-rolled-back.
+			{retry: cluster.RetryConfig{Enabled: true}, arm: rollout(bad)},
+			// The good v2: promoted wave by wave to the whole fleet.
+			{retry: cluster.RetryConfig{Enabled: true}, arm: rollout(good)},
+		},
+	}.run()
 	if err != nil {
 		return nil, err
 	}
-	healthy.Run(cfg.Horizon())
-	res.Healthy = healthy.Snapshot()
-
-	// The bad v2: caught at the canary stage, auto-rolled-back.
-	badRun, err := build(&bad)
-	if err != nil {
-		return nil, err
-	}
-	badRun.Run(cfg.Horizon())
-	res.Bad = badRun.Snapshot()
-	res.BadEvents = badRun.Events()
-
-	// The good v2: promoted wave by wave to the whole fleet.
-	goodRun, err := build(&good)
-	if err != nil {
-		return nil, err
-	}
-	goodRun.Run(cfg.Horizon())
-	res.Good = goodRun.Snapshot()
-	res.GoodEvents = goodRun.Events()
-	if res.GoodReport, err = goodRun.SaturationReport(); err != nil {
-		return nil, err
-	}
+	res.Apps, res.Skipped = run.apps, run.skipped
+	res.Healthy = run.twins[0].final
+	res.Bad, res.BadEvents = run.twins[1].final, run.twins[1].events
+	res.Good, res.GoodEvents, res.GoodReport = run.twins[2].final, run.twins[2].events, run.twins[2].report
 	return res, nil
 }
 
@@ -342,24 +257,6 @@ func (r *RolloutResult) Acceptance() []string {
 	return bad
 }
 
-// eventDigest renders an ordered kind-count summary of an event log.
-func eventDigest(events []cluster.Event) string {
-	counts := map[string]int{}
-	for _, e := range events {
-		counts[e.Kind]++
-	}
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	parts := make([]string, len(kinds))
-	for i, k := range kinds {
-		parts[i] = fmt.Sprintf("%d %s", counts[k], k)
-	}
-	return fmt.Sprintf("%s (%d total)", strings.Join(parts, ", "), len(events))
-}
-
 // RenderRollout formats the campaign report.
 func RenderRollout(r *RolloutResult) string {
 	var b strings.Builder
@@ -372,16 +269,7 @@ func RenderRollout(r *RolloutResult) string {
 	fmt.Fprintf(&b, "good plan: %s\n", r.GoodPlan)
 	b.WriteString("\n")
 
-	fmt.Fprintf(&b, "%-6s %7s %10s %6s %12s %12s\n",
-		"app", "share", "weights", "batch", "replica-cap", "load")
-	for _, a := range r.Apps {
-		fmt.Fprintf(&b, "%-6s %6.1f%% %8.1fMiB %6d %10.0f/s %10.0f/s\n",
-			a.Name, a.DeployShare, float64(a.WeightBytes)/(1<<20), a.SafeBatch, a.ReplicaRate, a.PeakRate)
-	}
-	if len(r.Skipped) > 0 {
-		fmt.Fprintf(&b, "skipped (no SLO-safe rolling change at %.1f ms SLA): %s\n",
-			cfg.SLASeconds*1e3, strings.Join(r.Skipped, ", "))
-	}
+	renderApps(&b, r.Apps, r.Skipped, "load", "no SLO-safe rolling change", cfg.SLASeconds)
 
 	// The three-way comparison: no change / bad v2 / good v2.
 	b.WriteString("\nhealthy baseline vs bad-v2 rollout vs good-v2 rollout (same seed):\n")
@@ -418,13 +306,6 @@ func RenderRollout(r *RolloutResult) string {
 	fmt.Fprintf(&b, "\nevent log (bad run):  %s\n", eventDigest(r.BadEvents))
 	fmt.Fprintf(&b, "event log (good run): %s\n", eventDigest(r.GoodEvents))
 
-	if bad := r.Acceptance(); len(bad) == 0 {
-		b.WriteString("\nacceptance: PASS (bad v2 caught at canary and fully rolled back; good v2 at 100% with zero SLO burn)\n")
-	} else {
-		b.WriteString("\nacceptance: FAIL\n")
-		for _, v := range bad {
-			fmt.Fprintf(&b, "  - %s\n", v)
-		}
-	}
+	renderAcceptance(&b, r.Acceptance(), "bad v2 caught at canary and fully rolled back; good v2 at 100% with zero SLO burn")
 	return b.String()
 }
